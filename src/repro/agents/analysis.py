@@ -17,6 +17,7 @@ from repro.darshan.parser import ParsedLog
 from repro.llm.api import ChatMessage
 from repro.llm.client import LLMClient
 from repro.llm.promptparse import IOReport, parse_io_report, split_sections, S_IO_REPORT
+from repro.llm.prompts import AnalysisTask, Prompt, PromptId
 
 CODE_BLOCK_RE = re.compile(r"```python\n(.*?)```", re.DOTALL)
 
@@ -52,19 +53,13 @@ class AnalysisAgent:
     # ------------------------------------------------------------------
     def initial_report(self) -> IOReport:
         """Produce the high-level I/O Report for the Tuning Agent."""
-        task = (
-            "## TASK: ANALYZE IO\n"
-            f"header: {self.parsed.header}\n"
-            "Available variables: "
-            + ", ".join(sorted(self._namespace))
-            + "\nColumn descriptions:\n"
-            + self._describe_columns()
-            + "\nData preview (first rows of each module frame):\n"
-            + self._preview_frames()
-            + "\nProvide a high-level summary of the application's I/O "
-            "behaviour with quantitative metrics."
+        task = AnalysisTask(
+            header=self.parsed.header,
+            variables=tuple(sorted(self._namespace)),
+            columns=self._describe_columns(),
+            preview=self._preview_frames(),
         )
-        content = self._run_conversation(task)
+        content = self._run_conversation(Prompt(PromptId.ANALYZE_IO, task))
         report = self._parse_report(content)
         self.transcript.add(
             "io_report", report.summary, metrics=dict(report.metrics)
@@ -73,14 +68,12 @@ class AnalysisAgent:
 
     def answer(self, question: str) -> tuple[str, dict[str, float]]:
         """Answer a Tuning Agent follow-up; returns (text, new metrics)."""
-        task = (
-            "## TASK: FOLLOWUP ANALYSIS\n"
-            f"header: {self.parsed.header}\n"
-            f"QUESTION: {question}\n"
-            "Available variables: "
-            + ", ".join(sorted(self._namespace))
+        task = AnalysisTask(
+            header=self.parsed.header,
+            variables=tuple(sorted(self._namespace)),
+            question=question,
         )
-        content = self._run_conversation(task)
+        content = self._run_conversation(Prompt(PromptId.FOLLOWUP_ANALYSIS, task))
         metrics = {}
         for match in re.finditer(r"ANSWER metric=(\w+) value=([-\d.eE+]+)", content):
             metrics[match.group(1)] = float(match.group(2))
@@ -91,14 +84,14 @@ class AnalysisAgent:
         return answer_text, metrics
 
     # ------------------------------------------------------------------
-    def _run_conversation(self, task: str) -> str:
+    def _run_conversation(self, prompt: Prompt) -> str:
         messages = [
             ChatMessage(role="system", content=_SYSTEM),
-            ChatMessage(role="user", content=task),
+            ChatMessage(role="user", content=prompt.text),
         ]
         for _ in range(MAX_CODE_ROUNDS):
             completion = self.client.complete(
-                messages, agent="analysis", session=self.session
+                messages, agent="analysis", session=self.session, prompt=prompt
             )
             code_match = CODE_BLOCK_RE.search(completion.content)
             if code_match is None:
@@ -119,6 +112,7 @@ class AnalysisAgent:
             messages.append(
                 ChatMessage(role="user", content=f"EXECUTION OUTPUT:\n{output}")
             )
+            prompt.input.show_output(output)
         raise RuntimeError("Analysis Agent did not converge to a report")
 
     def _parse_report(self, content: str) -> IOReport:

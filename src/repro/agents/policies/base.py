@@ -24,6 +24,7 @@ from repro.agents.transcript import Transcript
 from repro.agents.tuning import ConfigurationRunnerLike, TuningLoopResult
 from repro.llm.client import LLMClient
 from repro.llm.promptparse import IOReport, ParameterInfo
+from repro.llm.prompts import GlobalRules
 
 
 @dataclass
@@ -42,7 +43,8 @@ class PolicyContext:
     runner: ConfigurationRunnerLike
     report: IOReport | None
     analysis_agent: AnalysisAgent | None = None
-    rules_json: list[dict] = field(default_factory=list)
+    #: The global rule set: the journal's rendered view, or plain rule dicts.
+    rules_json: GlobalRules | list[dict] = field(default_factory=list)
     max_attempts: int = 5
     transcript: Transcript | None = None
     session: str = "tuning"

@@ -22,12 +22,8 @@ import json
 
 from repro.agents.policies.reflection import ReflectionPolicy
 from repro.agents.tuning import TuningAgent, TuningLoopResult
-from repro.llm.api import ChatMessage, ToolCall
-from repro.llm.reasoning import (
-    CRITIC_TASK,
-    build_proposed_section,
-    build_vetoed_section,
-)
+from repro.llm.api import ToolCall
+from repro.llm.prompts import PromptId, ProposalReview, shown_changes
 
 
 class ProposeCriticAgent(TuningAgent):
@@ -35,18 +31,6 @@ class ProposeCriticAgent(TuningAgent):
 
     #: Vetoed turns consume no attempt, so the loop needs extra headroom.
     EXTRA_TURNS = 10
-
-    def __init__(self, *args, **kwargs):
-        super().__init__(*args, **kwargs)
-        self._vetoed: list[dict[str, int]] = []
-
-    def _sections(self, result: TuningLoopResult) -> list[str]:
-        sections = super()._sections(result)
-        if self._vetoed:
-            # Before the closing instruction, after the (stable) history —
-            # the cacheable prefix is untouched.
-            sections.insert(len(sections) - 1, build_vetoed_section(self._vetoed))
-        return sections
 
     def _dispatch(self, call: ToolCall, result: TuningLoopResult) -> bool:
         if call.name == "run_configuration":
@@ -63,22 +47,14 @@ class ProposeCriticAgent(TuningAgent):
             for name, value in dict(call.arguments.get("changes", {})).items()
         }
         rationale = str(call.arguments.get("rationale", ""))
-        sections = [
-            *self._static_sections,
-            build_proposed_section(requested, rationale),
-            CRITIC_TASK,
-        ]
-        verdict = self.client.complete(
-            [
-                ChatMessage(role="system", content=self._system),
-                ChatMessage(role="user", content="\n\n".join(sections)),
-            ],
-            agent="critic",
-            session=self.session,
+        review = ProposalReview(self.context, shown_changes(requested), rationale)
+        verdict = self._request(
+            PromptId.CRITIC_REVIEW, review, agent="critic"
         ).content.strip()
         if verdict.startswith("VETO"):
             reason = verdict.partition(":")[2].strip()
-            self._vetoed.append(requested)
+            # The tool turn shows vetoed proposals after the history.
+            self.context.add_veto(requested)
             self.transcript.add(
                 "critic_veto",
                 f"critic vetoed {json.dumps(requested, sort_keys=True)}: "

@@ -15,15 +15,12 @@ never perturbs when probes run, their seeds, or their operand order.
 from __future__ import annotations
 
 import json
+from typing import Sequence
 
 from repro.agents.policies.reflection import ReflectionPolicy
 from repro.agents.tuning import TOOLS, TuningAgent, TuningLoopResult
-from repro.llm.api import ChatMessage, ToolCall
-from repro.llm.reasoning import (
-    REACT_DECIDE_TASK,
-    REACT_THOUGHT_TASK,
-    build_react_transcript_section,
-)
+from repro.llm.api import ToolCall
+from repro.llm.prompts import PromptId
 
 
 class ReACTAgent(TuningAgent):
@@ -31,35 +28,29 @@ class ReACTAgent(TuningAgent):
 
     def run_loop(self) -> TuningLoopResult:
         result = TuningLoopResult()
-        lines: list[str] = []
+        ctx = self.context
         # Each attempt costs at most a decide/thought/decide/act quartet;
         # the budget also bounds a runaway REASON chain.
         for _ in range(4 * self.max_attempts + 16):
-            mode = self._decide_mode(lines)
+            mode = self._decide_mode()
             if mode == "HALT":
-                result.end_reason = self._final_reason(lines)
+                result.end_reason = self._final_reason(ctx.transcript)
                 self.transcript.add("end_tuning", result.end_reason)
                 break
             if mode == "REASON":
-                thought = self._think(lines, result)
-                lines.append(f"Thought: {thought}")
+                thought = self._request(PromptId.REACT_THOUGHT).content.strip()
+                ctx.add_line(f"Thought: {thought}")
                 self.transcript.add("react_thought", thought)
                 continue
-            completion = self.client.complete(
-                self._messages(result),
-                tools=TOOLS,
-                agent="tuning",
-                session=self.session,
-            )
-            call = completion.called
+            call = self._request(PromptId.TOOL_TURN, tools=TOOLS).called
             if call is None:
                 result.end_reason = "model returned no tool call"
                 break
             attempts_before = len(result.attempts)
             if self._dispatch(call, result):
                 break
-            lines.append(f"Action: {call.name}")
-            lines.append(
+            ctx.add_line(f"Action: {call.name}")
+            ctx.add_line(
                 f"Observation: {self._observe(call, result, attempts_before)}"
             )
         if not result.end_reason and result.degradations:
@@ -70,42 +61,12 @@ class ReACTAgent(TuningAgent):
         return result
 
     # ------------------------------------------------------------------
-    def _decide_mode(self, lines: list[str]) -> str:
-        sections = [
-            *self._static_sections,
-            build_react_transcript_section(lines),
-            REACT_DECIDE_TASK,
-        ]
-        content = self.client.complete(
-            [
-                ChatMessage(role="system", content=self._system),
-                ChatMessage(role="user", content="\n\n".join(sections)),
-            ],
-            agent="tuning",
-            session=self.session,
-        ).content
+    def _decide_mode(self) -> str:
+        content = self._request(PromptId.REACT_DECIDE).content
         token = content.strip().split()[0].upper() if content.strip() else ""
         return token if token in ("REASON", "TOOL", "HALT") else "TOOL"
 
-    def _think(self, lines: list[str], result: TuningLoopResult) -> str:
-        # The thought sees the full tuning context (minus the tool-turn
-        # closing instruction) plus the running ReACT transcript.
-        sections = self._sections(result)[:-1]
-        sections.append(
-            f"You may try at most {self.max_attempts} configurations."
-        )
-        sections.append(build_react_transcript_section(lines))
-        sections.append(REACT_THOUGHT_TASK)
-        return self.client.complete(
-            [
-                ChatMessage(role="system", content=self._system),
-                ChatMessage(role="user", content="\n\n".join(sections)),
-            ],
-            agent="tuning",
-            session=self.session,
-        ).content.strip()
-
-    def _final_reason(self, lines: list[str]) -> str:
+    def _final_reason(self, lines: Sequence[str]) -> str:
         for line in reversed(lines):
             if line.startswith("Thought: FINAL:"):
                 return line[len("Thought: FINAL:"):].strip()

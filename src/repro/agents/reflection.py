@@ -11,13 +11,13 @@ from __future__ import annotations
 
 import json
 
-from repro.llm import promptparse as pp
 from repro.llm.client import LLMClient
+from repro.llm.prompts import GlobalRules, Prompt, PromptId, RuleMerge, freeze_json
 
 
 def merge_rules_via_llm(
     client: LLMClient,
-    existing: list[dict],
+    existing: GlobalRules | list[dict],
     new: list[dict],
     session: str = "rules-merge",
     agent: str = "tuning",
@@ -27,20 +27,14 @@ def merge_rules_via_llm(
     Usage is recorded on the client's ledger under ``agent`` — the engine
     passes ``rules_merge`` so the merge step shows up as its own line in
     session accounting instead of vanishing into a throwaway client.
+    ``existing`` is typically the journal's rendered view of its head
+    version, so the rule set is not re-rendered for the merge prompt.
     """
-    if not existing:
+    existing = GlobalRules.of(existing)
+    if not len(existing):
         return list(new)
     if not new:
-        return list(existing)
-    prompt = (
-        pp.build_rules_section(existing)
-        + "\n\n## TASK: MERGE RULES\n"
-        "Augment the global rule set above with the new rules below. If a "
-        "new rule directly contradicts an existing rule for the same "
-        "parameter and tuning context, remove both. If two rules offer only "
-        "slightly different guidance, keep both marked as alternatives. "
-        "Drop alternatives whose guidance produced a negative outcome.\n"
-        "NEW RULES:\n" + json.dumps(new)
-    )
+        return existing.to_json()
+    prompt = Prompt(PromptId.MERGE_RULES, RuleMerge(existing, freeze_json(new)))
     content = client.ask(prompt, agent=agent, session=session)
     return json.loads(content)

@@ -11,8 +11,10 @@ asks the model for its next environment interaction via three tools:
 - ``end_tuning`` — conclude, with justification, when further tuning is not
   expected to help.
 
-Prompt sections are ordered stable-first so the provider prompt cache hits
-on the shared prefix every turn (§5.7).
+The agent's context is one typed :class:`~repro.llm.prompts.TuningContext`,
+built once per run and updated in place as attempts and analysis answers
+arrive; every prompt renders from it, stable sections first so the provider
+prompt cache hits on the shared prefix every turn (§5.7).
 """
 
 from __future__ import annotations
@@ -25,8 +27,9 @@ from repro.agents.analysis import AnalysisAgent
 from repro.agents.transcript import Transcript
 from repro.faults.retry import FaultBudgetExhausted
 from repro.llm import promptparse as pp
-from repro.llm.api import ChatMessage, ToolSpec
+from repro.llm.api import ChatMessage, Completion, ToolSpec
 from repro.llm.client import LLMClient
+from repro.llm.prompts import GlobalRules, Prompt, PromptId, TuningContext
 
 TOOLS = [
     ToolSpec(
@@ -107,9 +110,10 @@ class TuningAgent:
     """Drives the trial-and-error loop for one application.
 
     Subclasses (the alternative agent policies in
-    :mod:`repro.agents.policies`) reuse the prompt assembly
-    (:meth:`_sections`), the tool dispatch (:meth:`_dispatch`) and the
-    Reflect & Summarize step; only the turn-taking strategy differs.
+    :mod:`repro.agents.policies`) reuse the typed context
+    (:attr:`context`), the request helper (:meth:`_request`), the tool
+    dispatch (:meth:`_dispatch`) and the Reflect & Summarize step; only the
+    turn-taking strategy differs.
     """
 
     #: Safety-valve headroom beyond ``max_attempts`` tool turns; policies
@@ -125,7 +129,7 @@ class TuningAgent:
         runner: ConfigurationRunnerLike,
         report: pp.IOReport | None,
         analysis_agent: AnalysisAgent | None = None,
-        rules_json: list[dict] | None = None,
+        rules_json: GlobalRules | list[dict] | None = None,
         max_attempts: int = 5,
         transcript: Transcript | None = None,
         session: str = "tuning",
@@ -139,18 +143,19 @@ class TuningAgent:
         self.runner = runner
         self.report = report
         self.analysis_agent = analysis_agent
-        self.rules_json = list(rules_json or [])
         self.max_attempts = max_attempts
         self.transcript = transcript if transcript is not None else Transcript()
         self.session = session
-        # The hardware, parameter and rules sections never change within a
-        # run; build each once instead of on every model turn (the rules
-        # section in particular re-serializes the whole rule set as JSON).
-        self._static_sections = [
-            pp.build_hardware_section(self.hardware_description, self.facts),
-            pp.build_parameter_section(self.parameters),
-        ]
-        self._rules_section = pp.build_rules_section(self.rules_json)
+        #: What every prompt of this run renders from and the model reads.
+        self.context = TuningContext.build(
+            hardware_description,
+            parameters,
+            facts,
+            rules_json,
+            report,
+            runner.initial_seconds,
+            max_attempts,
+        )
 
     # ------------------------------------------------------------------
     def run_loop(self) -> TuningLoopResult:
@@ -158,13 +163,7 @@ class TuningAgent:
         # Safety valve: tool turns are bounded by attempts + a few
         # analysis/ending turns.
         for _ in range(self.max_attempts + self.EXTRA_TURNS):
-            completion = self.client.complete(
-                self._messages(result),
-                tools=TOOLS,
-                agent="tuning",
-                session=self.session,
-            )
-            call = completion.called
+            call = self._request(PromptId.TOOL_TURN, tools=TOOLS).called
             if call is None:
                 result.end_reason = "model returned no tool call"
                 break
@@ -209,12 +208,14 @@ class TuningAgent:
             answer = "analysis unavailable"
             if self.report is not None:
                 self.report.followups[question] = answer
+                self.context.show_report(self.report)
             result.followups[question] = answer
             self.transcript.add("followup", f"Q: {question} -> unavailable")
             return
         answer, metrics = self.analysis_agent.answer(question)
         self.report.followups[question] = answer
         self.report.metrics.update(metrics)
+        self.context.show_report(self.report)
         result.followups[question] = answer
 
     def _handle_run(self, arguments: dict, result: TuningLoopResult) -> None:
@@ -247,6 +248,7 @@ class TuningAgent:
             rationale=rationale,
         )
         result.attempts.append(attempt)
+        self.context.add_attempt(attempt)
         self.transcript.add(
             "config",
             f"attempt {attempt.index}: {applied} -> {seconds:.2f}s "
@@ -258,51 +260,31 @@ class TuningAgent:
         )
 
     # ------------------------------------------------------------------
-    def _sections(self, result: TuningLoopResult) -> list[str]:
-        """The prompt sections of one tool turn, stable-prefix first."""
-        sections = [*self._static_sections, self._rules_section]
-        if self.report is not None:
-            sections.append(pp.build_io_report_section(self.report))
-        sections.append(
-            pp.build_history_section(self.runner.initial_seconds, result.attempts)
+    def _request(
+        self,
+        prompt_id: PromptId,
+        prompt_input=None,
+        tools: list[ToolSpec] | None = None,
+        agent: str = "tuning",
+    ) -> Completion:
+        """One model request over this run's context (or ``prompt_input``)."""
+        prompt = Prompt(prompt_id, self.context if prompt_input is None else prompt_input)
+        return self.client.complete(
+            [
+                ChatMessage(role="system", content=self._system),
+                ChatMessage(role="user", content=prompt.text),
+            ],
+            tools=tools,
+            agent=agent,
+            session=self.session,
+            prompt=prompt,
         )
-        sections.append(
-            f"You may try at most {self.max_attempts} configurations. "
-            "Choose your next action."
-        )
-        return sections
-
-    def _messages(self, result: TuningLoopResult) -> list[ChatMessage]:
-        return [
-            ChatMessage(role="system", content=self._system),
-            ChatMessage(role="user", content="\n\n".join(self._sections(result))),
-        ]
 
     def _reflect(self, result: TuningLoopResult) -> list[dict]:
         """Reflect & Summarize: distill the run into rules (§4.4)."""
         if not result.attempts:
             return []
-        sections = list(self._static_sections)
-        if self.report is not None:
-            sections.append(pp.build_io_report_section(self.report))
-        sections.append(
-            pp.build_history_section(self.runner.initial_seconds, result.attempts)
-        )
-        sections.append(
-            "## TASK: SUMMARIZE RULES\n"
-            "Summarize what was learned during this tuning run as a strict "
-            "JSON rule set (a list of objects with parameter, "
-            "rule_description and tuning_context). Exclude the application "
-            "name; make recommendations general rather than specific."
-        )
-        content = self.client.complete(
-            [
-                ChatMessage(role="system", content=self._system),
-                ChatMessage(role="user", content="\n\n".join(sections)),
-            ],
-            agent="tuning",
-            session=self.session,
-        ).content
+        content = self._request(PromptId.SUMMARIZE_RULES).content
         try:
             rules = json.loads(content)
         except json.JSONDecodeError as exc:

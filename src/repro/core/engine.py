@@ -134,7 +134,7 @@ class Stellar:
             analysis_model=self.analysis_model or "gpt-4o",
             extraction=self.extraction,
             run_seed=run_seed,
-            rules_json=self.rule_set.to_json() if use_rules else [],
+            rules_json=self.journal.global_rules if use_rules else [],
             max_attempts=max_attempts,
             use_descriptions=use_descriptions,
             use_analysis=use_analysis,
@@ -174,7 +174,7 @@ class Stellar:
             merge_session = "rules-merge"
         merged = merge_rules_via_llm(
             client,
-            self.rule_set.to_json(),
+            self.journal.global_rules,
             session.rules_json,
             session=merge_session,
             agent="rules_merge",

@@ -44,6 +44,7 @@ from repro.faults.plan import FaultPlan
 from repro.faults.retry import RetryPolicy
 from repro.llm.client import LLMClient
 from repro.llm.promptparse import IOReport, ParameterInfo
+from repro.llm.prompts import GlobalRules
 from repro.llm.tokens import UsageLedger
 from repro.pfs.simulator import RunResult
 from repro.rag.extraction import ExtractionResult
@@ -67,7 +68,8 @@ class SessionState:
     analysis_model: str
     extraction: ExtractionResult
     run_seed: int
-    rules_json: list[dict] = field(default_factory=list)
+    #: The global rule set: the journal's rendered view, or plain rule dicts.
+    rules_json: GlobalRules | list[dict] = field(default_factory=list)
     max_attempts: int = 5
     use_descriptions: bool = True
     use_analysis: bool = True

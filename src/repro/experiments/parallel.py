@@ -39,6 +39,7 @@ from __future__ import annotations
 import atexit
 import os
 from concurrent.futures import ProcessPoolExecutor
+from multiprocessing import resource_tracker
 from concurrent.futures.process import BrokenProcessPool
 from typing import Any, Callable, Iterable, Sequence, TypeVar
 
@@ -129,6 +130,12 @@ def warm_pool(workers: int, group: str = DEFAULT_GROUP) -> ProcessPoolExecutor:
         shutdown_pool(group)
         pool = None
     if pool is None:
+        # Start this process's resource tracker before any worker forks, so
+        # the workers share it.  Otherwise a worker that attaches a segment
+        # published after the fork registers it with a tracker of its own,
+        # which "cleans up" (unlinks) the parent's segment when the worker
+        # exits and warns about leaked shared memory.
+        resource_tracker.ensure_running()
         pool = ProcessPoolExecutor(
             max_workers=workers,
             initializer=_init_worker,

@@ -18,6 +18,7 @@ from repro.faults.plan import LLM_SITES, FaultPlan
 from repro.faults.retry import RetryPolicy, TransientFault
 from repro.llm.api import ChatMessage, Completion, ToolSpec
 from repro.llm.client import LLMClient
+from repro.llm.prompts import Prompt
 from repro.llm.tokens import TokenUsage, UsageLedger, count_tokens
 
 #: Stand-in payload for a malformed response; only its token cost matters.
@@ -48,9 +49,12 @@ class ResilientLLMClient(LLMClient):
         tools: list[ToolSpec] | None = None,
         agent: str = "generic",
         session: str | None = None,
+        prompt: Prompt | None = None,
     ) -> Completion:
         if not self.faults.active:
-            return super().complete(messages, tools=tools, agent=agent, session=session)
+            return super().complete(
+                messages, tools=tools, agent=agent, session=session, prompt=prompt
+            )
         # Logical request identity: the session's name plus this client's
         # per-session call index.  Session names embed workload and run
         # seed, so the key — hence the fault draw — is stable across
@@ -66,7 +70,7 @@ class ResilientLLMClient(LLMClient):
                 if self.faults.should_fire(site, f"{key}:a{n}"):
                     raise TransientFault(site, key=f"{key}:a{n}")
             return LLMClient.complete(
-                self, messages, tools=tools, agent=agent, session=session
+                self, messages, tools=tools, agent=agent, session=session, prompt=prompt
             )
 
         def record(fault: TransientFault, n: int, delay: float) -> None:

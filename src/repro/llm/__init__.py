@@ -4,9 +4,10 @@ A deterministic stand-in for the commercial LLM APIs the paper uses.  The
 design goal is *behavioural* fidelity on the axes the evaluation depends on:
 
 - **Grounding beats parametric recall** — the backend answers from whatever
-  structured context is present in the prompt; when information is missing
-  it falls back to a per-model *corrupted* knowledge base (hallucinated
-  parameter definitions and ranges, Figure 2).
+  structured context the request's typed prompt carries (exactly what its
+  rendered text shows, :mod:`repro.llm.prompts`); when information is
+  missing it falls back to a per-model *corrupted* knowledge base
+  (hallucinated parameter definitions and ranges, Figure 2).
 - **Tool calling** — the Tuning Agent's three environment interactions are
   modeled as real tool calls with JSON arguments.
 - **Cost accounting** — every request is token-counted, with a prompt-cache

@@ -3,9 +3,12 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Protocol
+from typing import TYPE_CHECKING, Any, Protocol
 
 from repro.llm.tokens import TokenUsage
+
+if TYPE_CHECKING:  # pragma: no cover - prompts builds on these types
+    from repro.llm.prompts import Prompt
 
 
 @dataclass
@@ -63,4 +66,5 @@ class LLMBackend(Protocol):
         messages: list[ChatMessage],
         tools: list[ToolSpec] | None = None,
         session: str = "default",
+        prompt: "Prompt | None" = None,
     ) -> Completion: ...

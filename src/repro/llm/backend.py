@@ -1,21 +1,28 @@
 """The MockLLM backend.
 
-Dispatches on the task structure of the incoming conversation:
+Every request carries a typed :class:`~repro.llm.prompts.Prompt` next to
+its rendered messages; the backend dispatches on the prompt id and reads
+only the typed input (:mod:`repro.llm.prompts` states the contract):
 
-- tool-calling conversations (the Tuning Agent's loop) run the
-  :class:`~repro.llm.reasoning.TuningPolicy` over the parsed prompt context;
-- ``## TASK: ANALYZE IO`` / ``FOLLOWUP ANALYSIS`` conversations follow the
+- ``TOOL_TURN`` (the Tuning Agent's loop) runs the
+  :class:`~repro.llm.reasoning.TuningPolicy` over the
+  :class:`~repro.llm.prompts.TuningContext` and answers with a tool call;
+  the policy detects the backend from the context's parameter names;
+- ``REACT_DECIDE`` / ``REACT_THOUGHT`` and ``CRITIC_REVIEW`` serve the
+  alternative agent policies;
+- ``ANALYZE_IO`` / ``FOLLOWUP_ANALYSIS`` follow the
   code-execute-summarize state machine of a code-executing agent;
-- ``## TASK: JUDGE DOCUMENTATION`` / ``DESCRIBE PARAMETER`` / ``JUDGE
-  IMPACT`` implement the offline extraction judgments — answering from the
-  retrieved chunks when they contain the documentation, and falling back to
-  (possibly hallucinated) parametric beliefs when they do not;
-- ``## TASK: PARAM INFO`` answers directly from parametric knowledge (the
-  Figure 2 no-RAG baseline);
-- ``## TASK: SUMMARIZE RULES`` / ``MERGE RULES`` produce and synthesize the
+- ``JUDGE_DOCUMENTATION`` / ``DESCRIBE_PARAMETER`` / ``JUDGE_IMPACT``
+  implement the offline extraction judgments — answering from the
+  retrieved chunks when they contain the documentation, and falling back
+  to (possibly hallucinated) parametric beliefs when they do not;
+- ``PARAM_INFO`` answers directly from parametric knowledge (the Figure 2
+  no-RAG baseline);
+- ``SUMMARIZE_RULES`` / ``MERGE_RULES`` produce and synthesize the
   strict-JSON rule sets.
 
-Every request is token-accounted against the session prompt cache.
+A request without a typed prompt gets a generic reply.  Every request is
+token-accounted on its rendered text against the session prompt cache.
 """
 
 from __future__ import annotations
@@ -23,31 +30,39 @@ from __future__ import annotations
 import json
 import re
 
-import numpy as np
-
 from repro.llm import analysis_codegen as codegen
-from repro.llm import promptparse as pp
 from repro.llm.api import ChatMessage, Completion, ToolCall, ToolSpec
 from repro.llm.knowledge import parametric_belief
 from repro.llm.profiles import ModelProfile
-from repro.llm.reasoning import (
-    S_PROPOSED,
-    S_REACT_TRANSCRIPT,
-    S_VETOED,
-    Decision,
+from repro.llm.promptparse import build_io_report_section
+from repro.llm.prompts import (
+    AnalysisTask,
+    ParameterTask,
+    Prompt,
+    PromptId,
+    ProposalReview,
+    RuleMerge,
     TuningContext,
+    dumps_rules,
+    join_fragments,
+    rule_fragment,
+)
+from repro.llm.reasoning import (
+    Decision,
     TuningPolicy,
-    parse_proposed_section,
-    parse_react_transcript,
-    parse_vetoed_section,
     react_mode,
     render_react_thought,
     review_proposal,
 )
 from repro.llm.tokens import PromptCache, TokenUsage, count_tokens
 from repro.rules.merge import merge_rule_sets
-from repro.rules.model import RuleSet
+from repro.rules.model import Rule, RuleSet
 from repro.sim.random import RngStreams
+
+GENERIC_REPLY = (
+    "I can help with parallel file system tuning tasks; please provide a "
+    "structured task section."
+)
 
 
 class MockLLM:
@@ -65,57 +80,27 @@ class MockLLM:
         messages: list[ChatMessage],
         tools: list[ToolSpec] | None = None,
         session: str = "default",
+        prompt: Prompt | None = None,
     ) -> Completion:
-        prompt = self._render_prompt(messages, tools)
-        cached = self.cache.lookup_and_store(session, prompt)
-        content = ""
+        rendered = self._render_prompt(messages, tools)
+        cached = self.cache.lookup_and_store(session, rendered)
         tool_calls: list[ToolCall] = []
-
-        full_text = "\n".join(m.content for m in messages)
-        last_user = next(
-            (m.content for m in reversed(messages) if m.role in ("user", "tool")),
-            "",
-        )
-
-        if tools:
-            decision = self._tuning_decision(full_text)
+        if prompt is None:
+            content = GENERIC_REPLY
+        elif prompt.id is PromptId.TOOL_TURN:
+            decision = self._policy("tuning").decide(prompt.input)
             tool_calls = [self._decision_to_call(decision)]
             content = decision.rationale or decision.reason
-        elif "## TASK: SUMMARIZE RULES" in last_user or "## TASK: MERGE RULES" in last_user:
-            content = self._rules_task(full_text, last_user)
-        elif "## TASK: JUDGE DOCUMENTATION" in last_user:
-            content = self._judge_documentation(last_user)
-        elif "## TASK: DESCRIBE PARAMETER" in last_user:
-            content = self._describe_parameter(last_user)
-        elif "## TASK: JUDGE IMPACT" in last_user:
-            content = self._judge_impact(last_user)
-        elif "## TASK: PARAM INFO" in last_user:
-            content = self._param_info(last_user)
-        elif "## TASK: REACT DECIDE" in last_user:
-            content = react_mode(
-                parse_react_transcript(
-                    pp.split_sections(last_user).get(S_REACT_TRANSCRIPT, "")
-                )
-            )
-        elif "## TASK: REACT THOUGHT" in last_user:
-            content = self._react_thought(full_text)
-        elif "## TASK: CRITIC REVIEW" in last_user:
-            content = self._critic_review(full_text)
-        elif "## TASK: ANALYZE IO" in full_text or "## TASK: FOLLOWUP ANALYSIS" in full_text:
-            content = self._analysis_turn(messages, full_text)
         else:
-            content = (
-                "I can help with parallel file system tuning tasks; please "
-                "provide a structured task section."
-            )
+            content = self._ANSWERS[prompt.id](self, prompt.input)
 
         output_text = content + "".join(
             json.dumps({"tool": c.name, "arguments": c.arguments}) for c in tool_calls
         )
         usage = TokenUsage(
-            input_tokens=count_tokens(prompt),
+            input_tokens=count_tokens(rendered),
             output_tokens=count_tokens(output_text),
-            cached_input_tokens=min(cached, count_tokens(prompt)),
+            cached_input_tokens=min(cached, count_tokens(rendered)),
         )
         return Completion(
             content=content, tool_calls=tool_calls, usage=usage, model=self.profile.name
@@ -132,59 +117,23 @@ class MockLLM:
             parts.append("AVAILABLE TOOLS:\n" + "\n".join(t.render() for t in tools))
         return "\n\n".join(parts)
 
-    # -- tuning ----------------------------------------------------------
-    def _parse_tuning_context(self, full_text: str) -> TuningContext:
-        """The full tuning context shared by every agent-policy task."""
-        sections = pp.split_sections(full_text)
-        parameters = pp.parse_parameter_section(sections.get(pp.S_PARAMETERS, ""))
-        report = None
-        if pp.S_IO_REPORT in sections:
-            report = pp.parse_io_report(sections[pp.S_IO_REPORT])
-        rules = (
-            pp.parse_rules_section(sections[pp.S_RULES])
-            if pp.S_RULES in sections
-            else []
-        )
-        facts = pp.parse_hardware_facts(sections.get(pp.S_HARDWARE, ""))
-        initial, attempts = pp.parse_history_section(sections.get(pp.S_HISTORY, ""))
-        max_attempts = 5
-        match = re.search(r"at most (\d+) configurations", full_text)
-        if match:
-            max_attempts = int(match.group(1))
-        vetoed = (
-            parse_vetoed_section(sections[S_VETOED])
-            if S_VETOED in sections
-            else []
-        )
-        return TuningContext(
-            parameters=parameters,
-            report=report,
-            rules=rules,
-            facts=facts,
-            initial_seconds=initial,
-            attempts=attempts,
-            max_attempts=max_attempts,
-            vetoed=vetoed,
-        )
+    def _policy(self, stream: str) -> TuningPolicy:
+        return TuningPolicy(self.profile, self.rng_streams.stream(stream))
 
-    def _tuning_decision(self, full_text: str) -> Decision:
-        ctx = self._parse_tuning_context(full_text)
-        policy = TuningPolicy(self.profile, self.rng_streams.stream("tuning"))
-        return policy.decide(ctx)
+    # -- agent policies ----------------------------------------------------
+    def _react_decide(self, ctx: TuningContext) -> str:
+        return react_mode(ctx.transcript)
 
-    def _react_thought(self, full_text: str) -> str:
+    def _react_thought(self, ctx: TuningContext) -> str:
         # Thought turns draw from their own stream: a policy that thinks
         # between actions must not perturb the act decisions other policies
         # (and the parity fixtures) take from the "tuning" stream.
-        ctx = self._parse_tuning_context(full_text)
-        policy = TuningPolicy(self.profile, self.rng_streams.stream("react"))
-        return render_react_thought(policy.decide(ctx))
+        return render_react_thought(self._policy("react").decide(ctx))
 
-    def _critic_review(self, full_text: str) -> str:
-        sections = pp.split_sections(full_text)
-        parameters = pp.parse_parameter_section(sections.get(pp.S_PARAMETERS, ""))
-        changes, rationale = parse_proposed_section(sections.get(S_PROPOSED, ""))
-        return review_proposal(changes, rationale, parameters)
+    def _critic_review(self, review: ProposalReview) -> str:
+        return review_proposal(
+            review.changes, review.rationale, review.context.parameters
+        )
 
     @staticmethod
     def _decision_to_call(decision: Decision) -> ToolCall:
@@ -198,40 +147,30 @@ class MockLLM:
         return ToolCall("end_tuning", {"reason": decision.reason})
 
     # -- rules -------------------------------------------------------------
-    def _rules_task(self, full_text: str, last_user: str) -> str:
-        sections = pp.split_sections(full_text)
-        if "## TASK: MERGE RULES" in last_user:
-            existing = RuleSet.from_json(
-                pp.parse_rules_section(sections.get(pp.S_RULES, "[]"))
-            )
-            new_body = _tail_after(last_user, "NEW RULES:")
-            new = RuleSet.loads(new_body) if new_body.strip() else RuleSet()
-            merged = merge_rule_sets(existing, new)
-            return merged.dumps()
-        parameters = pp.parse_parameter_section(sections.get(pp.S_PARAMETERS, ""))
-        report = (
-            pp.parse_io_report(sections[pp.S_IO_REPORT])
-            if pp.S_IO_REPORT in sections
-            else None
+    def _summarize_rules(self, ctx: TuningContext) -> str:
+        # Reads the parameters, report and history the summarize prompt shows.
+        return dumps_rules(self._policy("reflection").summarize_rules(ctx))
+
+    def _merge_rules(self, merge: RuleMerge) -> str:
+        existing = [Rule.from_dict(rule) for rule in merge.existing.rules]
+        merged = merge_rule_sets(RuleSet(existing), RuleSet.from_json(merge.new))
+        # A kept rule of a canonical rule set renders exactly as it did in
+        # the prompt, so its fragment is reused; new and re-marked rules
+        # are rendered afresh.
+        known = (
+            {id(rule): fragment for rule, fragment in zip(existing, merge.existing.fragments)}
+            if merge.existing.canonical
+            else {}
         )
-        initial, attempts = pp.parse_history_section(sections.get(pp.S_HISTORY, ""))
-        ctx = TuningContext(
-            parameters=parameters,
-            report=report,
-            rules=[],
-            facts=pp.parse_hardware_facts(sections.get(pp.S_HARDWARE, "")),
-            initial_seconds=initial,
-            attempts=attempts,
+        return join_fragments(
+            [known.get(id(rule)) or rule_fragment(rule.to_dict()) for rule in merged.rules]
         )
-        policy = TuningPolicy(self.profile, self.rng_streams.stream("reflection"))
-        return json.dumps(policy.summarize_rules(ctx), indent=1)
 
     # -- extraction judgments ----------------------------------------------
-    def _judge_documentation(self, task_text: str) -> str:
-        param = _named_parameter(task_text)
-        chunks = _tail_after(task_text, "RETRIEVED CONTEXT:")
+    def _judge_documentation(self, task: ParameterTask) -> str:
+        param = task.parameter
         base = param.rsplit(".", 1)[-1]
-        body = _parameter_section_body(chunks, base, param)
+        body = _parameter_section_body(task.body, base, param)
         section_present = bool(body) and f"Parameter name: {param}" in body
         has_range = section_present and "Valid range:" in body
         if section_present and has_range:
@@ -246,11 +185,10 @@ class MockLLM:
             )
         return f"INSUFFICIENT: the retrieved context does not document {param}."
 
-    def _describe_parameter(self, task_text: str) -> str:
-        param = _named_parameter(task_text)
-        chunks = _tail_after(task_text, "RETRIEVED CONTEXT:")
+    def _describe_parameter(self, task: ParameterTask) -> str:
+        param = task.parameter
         base = param.rsplit(".", 1)[-1]
-        body = _parameter_section_body(chunks, base, param)
+        body = _parameter_section_body(task.body, base, param)
         if body and "Definition:" in body:
             definition = " ".join(_line_after(body, "Definition:").split())
             perf = " ".join(_line_after(body, "Performance notes:").split())
@@ -317,9 +255,9 @@ class MockLLM:
         "keep-alive",
     )
 
-    def _judge_impact(self, task_text: str) -> str:
-        param = _named_parameter(task_text)
-        description = _tail_after(task_text, "DESCRIPTION:").lower()
+    def _judge_impact(self, task: ParameterTask) -> str:
+        param = task.parameter
+        description = task.body.lower()
         positive = sum(k in description for k in self._POSITIVE_IMPACT)
         negative = sum(k in description for k in self._NEGATIVE_IMPACT)
         if positive > negative and positive > 0:
@@ -333,26 +271,29 @@ class MockLLM:
             "testing rather than I/O performance."
         )
 
-    def _param_info(self, task_text: str) -> str:
-        belief = parametric_belief(self.profile, _named_parameter(task_text))
-        return belief.render()
+    def _param_info(self, task: ParameterTask) -> str:
+        return parametric_belief(self.profile, task.parameter).render()
 
     # -- analysis state machine ---------------------------------------------
-    def _analysis_turn(self, messages: list[ChatMessage], full_text: str) -> str:
-        last = messages[-1].content
-        if "EXECUTION OUTPUT:" in last:
-            output = _tail_after(last, "EXECUTION OUTPUT:")
-            metrics = codegen.metrics_from_output(output)
+    def _analyze_io(self, task: AnalysisTask) -> str:
+        return self._analysis_turn(task, followup=False)
+
+    def _followup_analysis(self, task: AnalysisTask) -> str:
+        return self._analysis_turn(task, followup=True)
+
+    def _analysis_turn(self, task: AnalysisTask, followup: bool) -> str:
+        if task.output is not None:
+            metrics = codegen.metrics_from_output(task.output)
             if not metrics:
                 # The code failed (or printed nothing usable): try again
                 # rather than fabricating a report from thin air.
-                if "## TASK: FOLLOWUP ANALYSIS" in full_text:
+                if followup:
                     return (
                         "ANALYSIS FAILED: execution produced no metrics "
-                        f"({output.strip()[:120]})"
+                        f"({task.output.strip()[:120]})"
                     )
                 return f"```python\n{codegen.BASE_ANALYSIS_CODE}\n```"
-            if "## TASK: FOLLOWUP ANALYSIS" in full_text:
+            if followup:
                 lines = [
                     f"ANSWER metric={name} value={value:g}"
                     for name, value in metrics.items()
@@ -362,32 +303,31 @@ class MockLLM:
                     "counter dataframes."
                 )
                 return "\n".join(lines)
-            header_match = re.search(r"header: (.+)", full_text)
-            header = header_match.group(1) if header_match else "the trace"
+            header = task.header.partition("\n")[0] or "the trace"
             report = codegen.report_from_metrics(metrics, header)
-            return "REPORT READY\n" + pp.build_io_report_section(report)
-        if "## TASK: FOLLOWUP ANALYSIS" in full_text:
-            question_match = re.search(r"QUESTION: (.+)", full_text)
-            question = question_match.group(1) if question_match else ""
-            code = codegen.code_for_task(question)
+            return "REPORT READY\n" + build_io_report_section(report)
+        if followup:
+            code = codegen.code_for_task(task.question.partition("\n")[0])
         else:
             code = codegen.BASE_ANALYSIS_CODE
         return f"```python\n{code}\n```"
 
+    _ANSWERS = {
+        PromptId.REACT_DECIDE: _react_decide,
+        PromptId.REACT_THOUGHT: _react_thought,
+        PromptId.CRITIC_REVIEW: _critic_review,
+        PromptId.SUMMARIZE_RULES: _summarize_rules,
+        PromptId.MERGE_RULES: _merge_rules,
+        PromptId.ANALYZE_IO: _analyze_io,
+        PromptId.FOLLOWUP_ANALYSIS: _followup_analysis,
+        PromptId.JUDGE_DOCUMENTATION: _judge_documentation,
+        PromptId.DESCRIBE_PARAMETER: _describe_parameter,
+        PromptId.JUDGE_IMPACT: _judge_impact,
+        PromptId.PARAM_INFO: _param_info,
+    }
+
 
 # ---------------------------------------------------------------------------
-def _named_parameter(text: str) -> str:
-    match = re.search(r"PARAMETER: ([\w.]+)", text)
-    if not match:
-        raise ValueError("task text names no PARAMETER")
-    return match.group(1)
-
-
-def _tail_after(text: str, marker: str) -> str:
-    index = text.find(marker)
-    return text[index + len(marker):] if index >= 0 else ""
-
-
 def _parameter_section_body(chunks: str, basename: str, fullname: str | None = None) -> str:
     """The section body for a parameter; disambiguates shared basenames
     (osc. and mdc. both expose max_rpcs_in_flight) via the full dotted name."""

@@ -10,6 +10,7 @@ from __future__ import annotations
 from repro.llm.api import ChatMessage, Completion, ToolSpec
 from repro.llm.backend import MockLLM
 from repro.llm.profiles import ModelProfile, get_profile
+from repro.llm.prompts import Prompt
 from repro.llm.tokens import UsageLedger
 
 
@@ -32,20 +33,32 @@ class LLMClient:
         tools: list[ToolSpec] | None = None,
         agent: str = "generic",
         session: str | None = None,
+        prompt: Prompt | None = None,
     ) -> Completion:
-        """One chat completion; usage is recorded under ``agent``."""
+        """One chat completion; usage is recorded under ``agent``.
+
+        ``prompt`` is the request's typed task, whose rendered text the
+        messages carry (:mod:`repro.llm.prompts`).
+        """
         completion = self.backend.complete(
-            messages, tools=tools, session=session or agent
+            messages, tools=tools, session=session or agent, prompt=prompt
         )
         self.ledger.record(
             agent, completion.usage, latency=self.profile.latency_per_request
         )
         return completion
 
-    def ask(self, prompt: str, agent: str = "generic", session: str | None = None) -> str:
-        """Single-turn convenience wrapper."""
+    def ask(
+        self, prompt: Prompt | str, agent: str = "generic", session: str | None = None
+    ) -> str:
+        """Single-turn convenience wrapper: a typed task, or bare text."""
+        typed = prompt if isinstance(prompt, Prompt) else None
+        text = typed.text if typed is not None else prompt
         completion = self.complete(
-            [ChatMessage(role="user", content=prompt)], agent=agent, session=session
+            [ChatMessage(role="user", content=text)],
+            agent=agent,
+            session=session,
+            prompt=typed,
         )
         return completion.content
 

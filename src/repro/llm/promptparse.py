@@ -1,10 +1,12 @@
-"""The structured prompt contract between agents and the mock LLM.
+"""Prompt sections: the builders the typed prompt renderers use, and the
+parser for the one section a model *answers* with.
 
-Agents assemble prompts from canonical ``## SECTION`` blocks; the mock
-backend "attends" to them by parsing the same blocks back out.  Keeping the
-builders and parsers in one module makes the contract explicit and testable —
-and mirrors how real agent frameworks pin context formats to keep models
-grounded.
+Agents render their context as canonical ``## SECTION`` blocks
+(:mod:`repro.llm.prompts` composes them per task).  The model reads the
+typed input those blocks were rendered from, never the text; the only text
+parsed here is model output — the Analysis Agent's ``REPORT READY`` answer
+(:func:`split_sections` + :func:`parse_io_report`), the seam a real model
+would answer through.
 """
 
 from __future__ import annotations
@@ -12,8 +14,6 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass, field
-from functools import lru_cache
-from typing import Any
 
 SECTION_RE = re.compile(r"^## ([A-Z0-9 _:?]+)$", re.MULTILINE)
 
@@ -31,10 +31,9 @@ S_TASK = "TASK"
 def split_sections(text: str) -> dict[str, str]:
     """Map section name -> body for every ``## NAME`` block in ``text``.
 
-    Candidate headers are located with ``str.find`` (the backend re-splits
-    the full prompt on every completion, so this runs over the whole
-    context each turn) and validated against ``SECTION_RE``'s exact name
-    charset — the accepted language is identical to running the regex.
+    Candidate headers are located with ``str.find`` and validated against
+    ``SECTION_RE``'s exact name charset — the accepted language is
+    identical to running the regex.
     """
     find = text.find
     positions = [0] if text.startswith("## ") else []
@@ -67,25 +66,10 @@ def build_hardware_section(description: str, facts: dict[str, float]) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=256)
-def _parse_hardware_facts_cached(body: str) -> dict[str, float]:
-    facts: dict[str, float] = {}
-    for match in re.finditer(r"^fact (\w+) = ([-\d.eE+]+)$", body, re.MULTILINE):
-        facts[match.group(1)] = float(match.group(2))
-    return facts
-
-
-def parse_hardware_facts(body: str) -> dict[str, float]:
-    # The hardware section is identical on every turn of a session (and
-    # across co-tenant sessions on the same cluster), so the regex walk is
-    # memoized; callers get a fresh dict they are free to mutate.
-    return dict(_parse_hardware_facts_cached(body))
-
-
 # ---------------------------------------------------------------------------
 # Tunable parameter descriptions (output of the offline RAG phase)
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class ParameterInfo:
     """One tunable parameter as presented to the Tuning Agent."""
 
@@ -109,50 +93,16 @@ def build_parameter_section(params: list[ParameterInfo]) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=64)
-def parse_parameter_section(body: str) -> list[ParameterInfo]:
-    """Parse the tunable-parameter block.
-
-    Memoized: the same parameter section recurs on every turn of a tuning
-    loop, and there are only a handful of distinct sections per process
-    (ablations toggle descriptions, §5.6 restricts the surface).  Callers
-    treat the returned infos as read-only.
-    """
-    params: list[ParameterInfo] = []
-    current: ParameterInfo | None = None
-    for raw in body.splitlines():
-        line = raw.strip()
-        if line.startswith("- parameter:"):
-            current = ParameterInfo(
-                name=line.split(":", 1)[1].strip(),
-                default=0,
-                min_expr="0",
-                max_expr="0",
-            )
-            params.append(current)
-        elif current is not None and ":" in line:
-            key, _, value = line.partition(":")
-            key = key.strip()
-            value = value.strip()
-            if key == "default":
-                current.default = int(float(value))
-            elif key == "range":
-                low, _, high = value.partition("..")
-                current.min_expr = low.strip()
-                current.max_expr = high.strip()
-            elif key == "description":
-                current.description = value
-            elif key == "unit":
-                current.unit = value
-    return params
-
-
 # ---------------------------------------------------------------------------
 # I/O report
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class IOReport:
-    """The Analysis Agent's distilled view of application I/O behaviour."""
+    """The Analysis Agent's distilled view of application I/O behaviour.
+
+    The Tuning Agent grows ``metrics`` and ``followups`` in place as
+    follow-up analyses answer; the fields themselves are never rebound.
+    """
 
     summary: str = ""
     metrics: dict[str, float] = field(default_factory=dict)
@@ -174,13 +124,14 @@ def build_io_report_section(report: IOReport) -> str:
     return "\n".join(lines)
 
 
-@lru_cache(maxsize=256)
-def _parse_io_report_cached(body: str) -> IOReport:
+def parse_io_report(body: str) -> IOReport:
+    """The report a model answered with; lines that do not parse are skipped."""
+    summary = ""
     report = IOReport()
     for raw in body.splitlines():
         line = raw.strip()
         if line.startswith("summary:"):
-            report.summary = line.split(":", 1)[1].strip()
+            summary = line.split(":", 1)[1].strip()
         elif line.startswith("metric "):
             match = re.match(r"metric (\w+) = ([-\d.eE+]+)", line)
             if match:
@@ -189,74 +140,13 @@ def _parse_io_report_cached(body: str) -> IOReport:
             match = re.match(r"followup '(.*)': (.*)", line)
             if match:
                 report.followups[match.group(1)] = match.group(2)
-    return report
-
-
-def parse_io_report(body: str) -> IOReport:
-    # The IO report body repeats verbatim on every tuning turn after the
-    # analysis stage produces it.  The cached parse is shared; the returned
-    # report is a shallow copy because the tuning loop appends follow-up
-    # answers to ``report.followups`` in place.
-    cached = _parse_io_report_cached(body)
-    return IOReport(
-        summary=cached.summary,
-        metrics=dict(cached.metrics),
-        followups=dict(cached.followups),
-    )
-
-
-# ---------------------------------------------------------------------------
-# Rule set (strict JSON structure, §4.4.1)
-# ---------------------------------------------------------------------------
-def _freeze(obj: Any):
-    """A hashable deep-frozen view of a JSON-shaped value (cache keys)."""
-    if isinstance(obj, dict):
-        return tuple((k, _freeze(v)) for k, v in obj.items())
-    if isinstance(obj, list):
-        return tuple(_freeze(v) for v in obj)
-    return obj
-
-
-#: ``indent=1`` renders keyed by the frozen payload — rule sets repeat
-#: verbatim across turns and co-tenant sessions, and pretty-printed JSON is
-#: one of the costlier string builds in the loop.
-_DUMPS_CACHE: dict[tuple, str] = {}
-
-
-def dumps_indented(payload: Any) -> str:
-    """``json.dumps(payload, indent=1)``, memoized on content."""
-    key = _freeze(payload)
-    text = _DUMPS_CACHE.get(key)
-    if text is None:
-        text = _DUMPS_CACHE[key] = json.dumps(payload, indent=1)
-    return text
-
-
-def build_rules_section(rules_json: list[dict[str, Any]]) -> str:
-    return f"## {S_RULES}\n" + dumps_indented(rules_json)
-
-
-@lru_cache(maxsize=256)
-def _parse_rules_cached(body: str) -> list[dict[str, Any]]:
-    return json.loads(body)
-
-
-def parse_rules_section(body: str) -> list[dict[str, Any]]:
-    body = body.strip()
-    if not body or body == "(empty)":
-        return []
-    # json.loads of the (identical, per-turn) rule block is memoized; the
-    # copy keeps callers free to extend rule dicts or their tag lists.
-    return [
-        {k: (list(v) if isinstance(v, list) else v) for k, v in rule.items()}
-        for rule in _parse_rules_cached(body)
-    ]
+    return IOReport(summary, report.metrics, report.followups)
 
 
 # ---------------------------------------------------------------------------
 # Tuning history
 # ---------------------------------------------------------------------------
-@dataclass
+@dataclass(frozen=True)
 class AttemptRecord:
     """One configuration trial the Tuning Agent has observed."""
 
@@ -271,34 +161,7 @@ def build_history_section(initial_seconds: float, attempts: list[AttemptRecord])
     lines = [f"## {S_HISTORY}", f"initial run (default configuration): {initial_seconds:.3f}s"]
     for attempt in attempts:
         lines.append(
-            f"attempt {attempt.index}: changes {json.dumps(attempt.changes, sort_keys=True)} "
+            f"attempt {attempt.index}: changes {json.dumps(dict(attempt.changes), sort_keys=True)} "
             f"-> runtime {attempt.seconds:.3f}s (speedup {attempt.speedup:.3f}x)"
         )
     return "\n".join(lines)
-
-
-def parse_history_section(body: str) -> tuple[float, list[AttemptRecord]]:
-    initial = 0.0
-    attempts: list[AttemptRecord] = []
-    for raw in body.splitlines():
-        line = raw.strip()
-        if line.startswith("initial run"):
-            match = re.search(r"([\d.]+)s", line)
-            if match:
-                initial = float(match.group(1))
-        elif line.startswith("attempt "):
-            match = re.match(
-                r"attempt (\d+): changes (\{.*\}) -> runtime ([\d.]+)s "
-                r"\(speedup ([\d.]+)x\)",
-                line,
-            )
-            if match:
-                attempts.append(
-                    AttemptRecord(
-                        index=int(match.group(1)),
-                        changes={k: int(v) for k, v in json.loads(match.group(2)).items()},
-                        seconds=float(match.group(3)),
-                        speedup=float(match.group(4)),
-                    )
-                )
-    return initial, attempts

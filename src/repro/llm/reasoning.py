@@ -1,9 +1,10 @@
 """The Tuning Agent's decision policy (the mock LLM's "reasoning").
 
-Given the parsed prompt context — tunable parameters (with or without
-accurate descriptions), the Analysis Agent's I/O report (or none), the
-global rule set, hardware facts and the tuning history — decide the next
-environment interaction:
+Given the typed prompt context (:class:`~repro.llm.prompts.TuningContext`,
+holding exactly what the prompt text shows) — tunable parameters (with or
+without accurate descriptions), the Analysis Agent's I/O report (or none),
+the global rule set, hardware facts and the tuning history — decide the
+next environment interaction:
 
 - ask the Analysis Agent a follow-up question,
 - propose and run a new configuration (with documented rationale), or
@@ -29,8 +30,8 @@ parameters that do nothing for metadata-bound applications.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
+from collections.abc import Mapping, Sequence
 from typing import Any
 
 import numpy as np
@@ -39,7 +40,8 @@ from repro.backends import detect_backend
 from repro.backends.base import KiB, MiB, PfsBackend
 from repro.llm.knowledge import believed_direction_is_correct
 from repro.llm.profiles import ModelProfile
-from repro.llm.promptparse import AttemptRecord, IOReport, ParameterInfo
+from repro.llm.promptparse import IOReport, ParameterInfo
+from repro.llm.prompts import TuningContext
 
 #: Improvement (vs best so far) below which returns are "diminishing".
 DIMINISHING_RETURNS = 0.05
@@ -54,59 +56,12 @@ WORKLOAD_CLASSES = (
     "mixed",
 )
 
-# ---------------------------------------------------------------------------
-# Prompt shapes of the alternative agent policies (ReACT, propose/critic).
-#
-# The sections below are backend-agnostic by construction: they carry only
-# JSON change maps, free-text thoughts and the standard parameter section —
-# the mock controller re-detects the backend from parameter names exactly
-# like the tuning policy does.  Every policy prompt keeps the stable
-# sections (hardware, parameters) first so the provider prompt cache keeps
-# hitting on the shared prefix (§5.7).
-# ---------------------------------------------------------------------------
-S_REACT_TRANSCRIPT = "REACT TRANSCRIPT"
-S_PROPOSED = "PROPOSED CONFIGURATION"
-S_VETOED = "VETOED PROPOSALS"
-
-REACT_DECIDE_TASK = (
-    "## TASK: REACT DECIDE\n"
-    "You are operating as a ReACT agent. Review the transcript above and "
-    "reply with exactly one token: REASON to think before acting, TOOL to "
-    "take an environment action now, or HALT when the final thought has "
-    "concluded the run."
-)
-REACT_THOUGHT_TASK = (
-    "## TASK: REACT THOUGHT\n"
-    "Write the next thought for the transcript above: one short passage of "
-    "reasoning about the tuning state. Prefix a concluding thought with "
-    "'FINAL:' followed by the justification for stopping."
-)
-CRITIC_TASK = (
-    "## TASK: CRITIC REVIEW\n"
-    "You are the critic of a propose/critic tuning pair. Review the "
-    "proposed configuration against the documented parameter ranges and "
-    "the grounding of its rationale. Reply APPROVE, VETO: <reason>, or "
-    "AMEND followed by a corrected JSON changes object on the next line."
-)
-
 #: The tuning policy's speculative noise-exploration rationale opens with
 #: this prefix; it is the one proposal class the critic refuses outright.
 SPECULATIVE_RATIONALE_PREFIX = "Exploring whether a smaller client cache"
 
 
-def build_react_transcript_section(lines: list[str]) -> str:
-    body = "\n".join(lines) if lines else "(empty)"
-    return f"## {S_REACT_TRANSCRIPT}\n{body}"
-
-
-def parse_react_transcript(body: str) -> list[str]:
-    body = body.strip()
-    if not body or body == "(empty)":
-        return []
-    return body.splitlines()
-
-
-def react_mode(lines: list[str]) -> str:
+def react_mode(lines: Sequence[str]) -> str:
     """The ReACT turn controller: REASON | TOOL | HALT.
 
     Deterministic and draw-free: a fresh transcript (or one ending in an
@@ -134,47 +89,8 @@ def render_react_thought(decision: "Decision") -> str:
     return f"FINAL: {decision.reason}"
 
 
-def build_proposed_section(changes: dict[str, int], rationale: str) -> str:
-    return (
-        f"## {S_PROPOSED}\n"
-        f"changes: {json.dumps(changes, sort_keys=True)}\n"
-        f"rationale: {rationale}"
-    )
-
-
-def parse_proposed_section(body: str) -> tuple[dict[str, int], str]:
-    changes: dict[str, int] = {}
-    rationale = ""
-    for line in body.splitlines():
-        if line.startswith("changes: "):
-            changes = {
-                str(name): int(value)
-                for name, value in json.loads(line[len("changes: "):]).items()
-            }
-        elif line.startswith("rationale: "):
-            rationale = line[len("rationale: "):]
-    return changes, rationale
-
-
-def build_vetoed_section(vetoed: list[dict[str, int]]) -> str:
-    lines = [f"## {S_VETOED}"]
-    lines.extend(f"- {json.dumps(changes, sort_keys=True)}" for changes in vetoed)
-    return "\n".join(lines)
-
-
-def parse_vetoed_section(body: str) -> list[dict[str, int]]:
-    vetoed = []
-    for raw in body.splitlines():
-        line = raw.strip()
-        if line.startswith("- "):
-            vetoed.append(
-                {str(k): int(v) for k, v in json.loads(line[2:]).items()}
-            )
-    return vetoed
-
-
 def review_proposal(
-    changes: dict[str, int], rationale: str, parameters: list[ParameterInfo]
+    changes: Mapping[str, int], rationale: str, parameters: Sequence[ParameterInfo]
 ) -> str:
     """The critic's deterministic, draw-free review of one proposal.
 
@@ -209,31 +125,6 @@ def review_proposal(
         corrected = {**changes, **amended}
         return "AMEND\n" + json.dumps(corrected, sort_keys=True)
     return "APPROVE"
-
-
-@dataclass
-class TuningContext:
-    """Everything the policy knows, parsed from the prompt."""
-
-    parameters: list[ParameterInfo]
-    report: IOReport | None
-    rules: list[dict[str, Any]]
-    facts: dict[str, float]
-    initial_seconds: float
-    attempts: list[AttemptRecord]
-    max_attempts: int = 5
-    #: Proposals a critic refused this run (propose/critic policy only);
-    #: the policy treats them as tried so a veto can never livelock the loop.
-    vetoed: list[dict[str, int]] = field(default_factory=list)
-
-    def parameter(self, name: str) -> ParameterInfo | None:
-        for p in self.parameters:
-            if p.name == name:
-                return p
-        return None
-
-    def has_descriptions(self) -> bool:
-        return any(p.description for p in self.parameters)
 
 
 @dataclass
@@ -414,7 +305,7 @@ class TuningPolicy:
         if applied_rules:
             # One value per parameter: among matching rules (including
             # alternatives) prefer the best-evidenced recommendation.
-            best_by_param: dict[str, dict[str, Any]] = {}
+            best_by_param: dict[str, Mapping[str, Any]] = {}
             for rule in applied_rules:
                 value = rule.get("recommended_value")
                 name = rule.get("parameter", "")
@@ -578,7 +469,7 @@ class TuningPolicy:
 
     def _matching_rules(
         self, ctx: TuningContext, workload_class: str
-    ) -> list[dict[str, Any]]:
+    ) -> list[Mapping[str, Any]]:
         """Rules whose recorded tuning context matches this workload.
 
         A match requires the workload-class tag itself, or at least two
@@ -587,7 +478,7 @@ class TuningPolicy:
         """
         tags = set(context_tags(workload_class, ctx.report))
         matched = []
-        for rule in ctx.rules:
+        for rule in ctx.rules.rules:
             rule_tags = set(rule.get("context_tags", []))
             if workload_class in rule_tags or len(rule_tags & tags) >= 2:
                 matched.append(rule)

@@ -27,6 +27,7 @@ from repro.cluster.hardware import ClusterSpec
 from repro.corpus import render_manual
 from repro.llm.client import LLMClient
 from repro.llm.promptparse import ParameterInfo
+from repro.llm.prompts import ParameterTask, Prompt, PromptId
 from repro.pfs.proctree import build_proc_tree, writable_parameter_names
 from repro.rag.index import VectorIndex
 
@@ -103,11 +104,7 @@ class ParameterExtractor:
         for name in candidates:
             context = self.retrieve(name)
             verdict = self.client.ask(
-                "## TASK: JUDGE DOCUMENTATION\n"
-                f"PARAMETER: {name}\n"
-                "Does the retrieved documentation define this parameter's "
-                "purpose and its valid range?\n"
-                f"RETRIEVED CONTEXT:\n{context}",
+                Prompt(PromptId.JUDGE_DOCUMENTATION, ParameterTask(name, context)),
                 agent="extraction",
                 session=f"extract:{name}",
             )
@@ -115,13 +112,7 @@ class ParameterExtractor:
                 result.filtered_insufficient.append(name)
                 continue
             described = self.client.ask(
-                "## TASK: DESCRIBE PARAMETER\n"
-                f"PARAMETER: {name}\n"
-                "Describe the parameter's purpose, its intended impact on "
-                "I/O, and its valid range. Use the dependent expression "
-                "syntax for ranges that depend on other parameters or "
-                "hardware facts.\n"
-                f"RETRIEVED CONTEXT:\n{context}",
+                Prompt(PromptId.DESCRIBE_PARAMETER, ParameterTask(name, context)),
                 agent="extraction",
                 session=f"extract:{name}",
             )
@@ -133,11 +124,10 @@ class ParameterExtractor:
                 result.filtered_binary.append(name)
                 continue
             impact = self.client.ask(
-                "## TASK: JUDGE IMPACT\n"
-                f"PARAMETER: {name}\n"
-                "Is this parameter likely to have a significant impact on "
-                "I/O performance? Answer with documented reasoning.\n"
-                f"DESCRIPTION:\n{extracted.description}",
+                Prompt(
+                    PromptId.JUDGE_IMPACT,
+                    ParameterTask(name, extracted.description),
+                ),
                 agent="extraction",
                 session=f"extract:{name}",
             )

@@ -20,6 +20,7 @@ from pathlib import Path
 from typing import TYPE_CHECKING, Iterable, Sequence
 
 from repro.llm.promptparse import AttemptRecord
+from repro.llm.prompts import GlobalRules
 from repro.llm.tokens import TokenUsage
 from repro.rules.merge import merge_rule_sets
 from repro.rules.model import RuleSet
@@ -132,6 +133,7 @@ class RuleJournal:
         self._entries: list[JournalEntry] = list(entries)
         self._lock = threading.RLock()
         self._view: RuleSet | None = None
+        self._global_rules: GlobalRules | None = None
         self._sequence = max(
             (entry.origin[1] for entry in self._entries), default=0
         )
@@ -194,6 +196,7 @@ class RuleJournal:
                 if snapshot is not None and not stale
                 else None
             )
+            self._global_rules = None
             return entry
 
     @classmethod
@@ -217,6 +220,19 @@ class RuleJournal:
             if self._view is None:
                 self._view = self.replay()
             return self._view
+
+    @property
+    def global_rules(self) -> GlobalRules:
+        """The merged view at the head version as prompts show it.
+
+        Cached per head version: every prompt of every session that reads
+        this version (the tuning turns and the merge that follows) shares
+        one rendering of the rule set.
+        """
+        with self._lock:
+            if self._global_rules is None:
+                self._global_rules = GlobalRules(self.current.to_json(), canonical=True)
+            return self._global_rules
 
     def replay(self, up_to_version: int | None = None) -> RuleSet:
         """Deterministically rebuild the merged view from the entries.

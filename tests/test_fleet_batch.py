@@ -12,9 +12,16 @@ Three contracts from the fleet-batching tentpole:
 """
 
 import json
+import os
+import subprocess
+import sys
+import textwrap
 import threading
+from pathlib import Path
 
 import pytest
+
+import repro
 
 from repro.cluster import make_cluster
 from repro.experiments import parallel
@@ -243,6 +250,35 @@ class TestSharedArtifacts:
         with ProcessPoolExecutor(max_workers=2, mp_context=ctx) as pool:
             digests = list(pool.map(artifacts._probe_worker, [ref] * 4))
         assert digests == [ref.digest] * 4
+
+    def test_publication_after_pool_start_leaks_nothing(self):
+        """Workers forked before the first publication share the parent's
+        resource tracker, so resolving a later segment neither unlinks it
+        under the parent nor reports it as leaked at exit."""
+        if artifacts.shared_memory is None:
+            pytest.skip("no shared memory on this platform")
+        script = textwrap.dedent(
+            """
+            from repro.experiments.parallel import shutdown_pool, warm_pool
+            from repro.service import artifacts
+
+            pool = warm_pool(2)
+            list(pool.map(abs, range(2)))  # both workers forked, nothing published
+            ref = artifacts.publish(("late-publication",), list(range(1000)))
+            assert ref.shm_name is not None
+            assert set(pool.map(artifacts._probe_worker, [ref] * 4)) == {ref.digest}
+            shutdown_pool()
+            """
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(repro.__file__).parents[1])}
+        # Output is read to EOF, so it includes what the trackers print
+        # after the interpreter has exited.
+        proc = subprocess.run(
+            [sys.executable, "-c", script],
+            capture_output=True, text=True, env=env, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert "resource_tracker" not in proc.stderr, proc.stderr
 
 
 def _cache_state_probe(_):

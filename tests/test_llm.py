@@ -1,5 +1,5 @@
 """Tests for the mock LLM substrate: tokens, cache, profiles, knowledge,
-prompt parsing and the backend dispatch."""
+prompt rendering and the backend's typed-prompt dispatch."""
 
 import json
 
@@ -18,6 +18,15 @@ from repro.llm import (
 from repro.llm import promptparse as pp
 from repro.llm.knowledge import MISCONCEPTIONS, parametric_belief
 from repro.llm.profiles import MODEL_PROFILES
+from repro.llm.prompts import (
+    GlobalRules,
+    ParameterTask,
+    Prompt,
+    PromptId,
+    RuleMerge,
+    TuningContext,
+    freeze_json,
+)
 
 
 class TestTokens:
@@ -136,6 +145,8 @@ class TestKnowledge:
 
 class TestPromptParse:
     def test_sections_round_trip(self):
+        """A typed context renders every section, and the model-output
+        parsers read the report section back."""
         params = [
             pp.ParameterInfo(
                 name="osc.max_rpcs_in_flight",
@@ -146,43 +157,42 @@ class TestPromptParse:
             )
         ]
         report = pp.IOReport(summary="data heavy", metrics={"shared_file": 1.0})
-        text = "\n\n".join(
-            [
-                pp.build_hardware_section("Cluster of 10 nodes", {"n_ost": 5}),
-                pp.build_parameter_section(params),
-                pp.build_io_report_section(report),
-                pp.build_rules_section([{"parameter": "x"}]),
-                pp.build_history_section(
-                    100.0,
-                    [
-                        pp.AttemptRecord(
-                            index=1,
-                            changes={"osc.max_rpcs_in_flight": 32},
-                            seconds=50.0,
-                            speedup=2.0,
-                        )
-                    ],
-                ),
-            ]
+        ctx = TuningContext.build(
+            "Cluster of 10 nodes", params, {"n_ost": 5}, [{"parameter": "x"}],
+            report, 100.0,
         )
-        sections = pp.split_sections(text)
-        assert pp.parse_hardware_facts(sections[pp.S_HARDWARE]) == {"n_ost": 5.0}
-        parsed_params = pp.parse_parameter_section(sections[pp.S_PARAMETERS])
-        assert parsed_params[0].name == "osc.max_rpcs_in_flight"
-        assert parsed_params[0].max_expr == "256"
-        assert parsed_params[0].description == "Concurrent bulk RPCs per OSC."
+        ctx.add_attempt(
+            pp.AttemptRecord(
+                index=1,
+                changes={"osc.max_rpcs_in_flight": 32},
+                seconds=50.0,
+                speedup=2.0,
+            )
+        )
+        sections = pp.split_sections(Prompt(PromptId.TOOL_TURN, ctx).text)
+        assert sections[pp.S_HARDWARE].endswith("fact n_ost = 5")
+        assert "- parameter: osc.max_rpcs_in_flight" in sections[pp.S_PARAMETERS]
+        assert "range: 1 .. 256" in sections[pp.S_PARAMETERS]
+        assert "description: Concurrent bulk RPCs per OSC." in sections[pp.S_PARAMETERS]
         parsed_report = pp.parse_io_report(sections[pp.S_IO_REPORT])
         assert parsed_report.metrics == {"shared_file": 1.0}
         assert parsed_report.summary == "data heavy"
-        assert pp.parse_rules_section(sections[pp.S_RULES]) == [{"parameter": "x"}]
-        initial, attempts = pp.parse_history_section(sections[pp.S_HISTORY])
-        assert initial == 100.0
-        assert attempts[0].changes == {"osc.max_rpcs_in_flight": 32}
-        assert attempts[0].speedup == 2.0
+        assert json.loads(sections[pp.S_RULES]) == [{"parameter": "x"}]
+        assert sections[pp.S_HISTORY].splitlines()[:2] == [
+            "initial run (default configuration): 100.000s",
+            'attempt 1: changes {"osc.max_rpcs_in_flight": 32} -> runtime '
+            "50.000s (speedup 2.000x)",
+        ]
+        assert ctx.facts == {"n_ost": 5.0}
+        assert [dict(r) for r in ctx.rules.rules] == [{"parameter": "x"}]
+        assert ctx.initial_seconds == 100.0
+        assert dict(ctx.attempts[0].changes) == {"osc.max_rpcs_in_flight": 32}
+        assert ctx.attempts[0].speedup == 2.0
 
     def test_empty_rules_section(self):
-        assert pp.parse_rules_section("") == []
-        assert pp.parse_rules_section("(empty)") == []
+        empty = GlobalRules.of([])
+        assert empty.rules == ()
+        assert empty.section == f"## {pp.S_RULES}\n[]"
 
     def test_io_report_followups(self):
         report = pp.IOReport(summary="s", followups={"what sizes?": "mostly 8 KiB"})
@@ -198,52 +208,47 @@ class TestBackendDispatch:
     def test_param_info_task_uses_parametric_knowledge(self):
         client = LLMClient("gpt-4.5", seed=0)
         answer = client.ask(
-            "## TASK: PARAM INFO\nPARAMETER: llite.statahead_max\n"
-            "Give the definition and accepted range."
+            Prompt(
+                PromptId.PARAM_INFO,
+                ParameterTask(
+                    "llite.statahead_max", "Give the definition and accepted range."
+                ),
+            )
         )
         assert "statahead" in answer
         assert "8192" not in answer  # hallucinated range (Figure 2)
 
     def test_tool_call_emitted_for_tuning(self):
         client = LLMClient("claude-3.7-sonnet", seed=0)
-        params = pp.build_parameter_section(
-            [
-                pp.ParameterInfo(
-                    name="osc.max_rpcs_in_flight",
-                    default=8,
-                    min_expr="1",
-                    max_expr="256",
-                    description="Concurrent bulk RPCs; raising it lifts throughput.",
-                )
-            ]
-        )
-        report = pp.build_io_report_section(
-            pp.IOReport(
-                summary="large sequential shared-file writes",
-                metrics={
-                    "shared_file": 1.0,
-                    "seq_fraction": 1.0,
-                    "common_access_size": 16 * 1024 * 1024,
-                    "meta_time_fraction": 0.01,
-                    "avg_file_size": 1e9,
-                    "meta_data_op_ratio": 0.001,
-                },
+        params = [
+            pp.ParameterInfo(
+                name="osc.max_rpcs_in_flight",
+                default=8,
+                min_expr="1",
+                max_expr="256",
+                description="Concurrent bulk RPCs; raising it lifts throughput.",
             )
+        ]
+        report = pp.IOReport(
+            summary="large sequential shared-file writes",
+            metrics={
+                "shared_file": 1.0,
+                "seq_fraction": 1.0,
+                "common_access_size": 16 * 1024 * 1024,
+                "meta_time_fraction": 0.01,
+                "avg_file_size": 1e9,
+                "meta_data_op_ratio": 0.001,
+            },
         )
+        ctx = TuningContext.build("one node", params, {}, [], report, 100.0)
         tools = [
             ToolSpec("analysis_question", "ask for more analysis", {"question": "q"}),
             ToolSpec("run_configuration", "run the app", {"changes": "map"}),
             ToolSpec("end_tuning", "stop", {"reason": "r"}),
         ]
+        prompt = Prompt(PromptId.TOOL_TURN, ctx)
         completion = client.complete(
-            [
-                ChatMessage(
-                    role="user",
-                    content=f"{params}\n\n{report}\n\n## TUNING HISTORY\n"
-                    "initial run (default configuration): 100.000s",
-                )
-            ],
-            tools=tools,
+            [ChatMessage(role="user", content=prompt.text)], tools=tools, prompt=prompt
         )
         call = completion.called
         assert call is not None
@@ -252,9 +257,13 @@ class TestBackendDispatch:
 
     def test_usage_accumulates_with_cache(self):
         client = LLMClient("gpt-4o", seed=0)
-        base = "## TASK: PARAM INFO\nPARAMETER: osc.max_dirty_mb\n" + "context " * 500
-        client.ask(base, agent="t", session="one")
-        client.ask(base + " more", agent="t", session="one")
+        question = "context " * 500
+        for body in (question, question + " more"):
+            client.ask(
+                Prompt(PromptId.PARAM_INFO, ParameterTask("osc.max_dirty_mb", body)),
+                agent="t",
+                session="one",
+            )
         usage = client.ledger.agent("t")
         assert usage.cached_input_tokens > 0
         assert client.cost_usd() > 0
@@ -284,9 +293,10 @@ class TestBackendDispatch:
             }
         ]
         answer = client.ask(
-            pp.build_rules_section(existing)
-            + "\n\n## TASK: MERGE RULES\nNEW RULES:\n"
-            + json.dumps(new)
+            Prompt(
+                PromptId.MERGE_RULES, RuleMerge(GlobalRules.of(existing), freeze_json(new))
+            )
         )
         merged = json.loads(answer)
         assert len(merged) == 2
+        assert answer == json.dumps(merged, indent=1)

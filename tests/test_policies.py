@@ -261,7 +261,7 @@ class ScriptedClient:
         self.turns = list(turns)
         self.reflection = reflection
 
-    def complete(self, messages, tools=None, agent="generic", session=None):
+    def complete(self, messages, tools=None, agent="generic", session=None, prompt=None):
         if tools:
             return Completion(tool_calls=[self.turns.pop(0)])
         return Completion(content=self.reflection)

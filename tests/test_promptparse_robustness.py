@@ -1,8 +1,10 @@
-"""Robustness tests for the prompt contract parsers.
+"""Robustness tests for the prompt sections.
 
-The mock backend "reads" prompts the way a model attends to context; the
-parsers must degrade gracefully on malformed or partial sections rather
-than crash the agent loop.
+The section splitter and the I/O-report parser read *model output* (the
+Analysis Agent's ``REPORT READY`` answer); they must degrade gracefully on
+malformed or partial sections rather than crash the agent loop.  The
+history section is rendered from the typed context, which holds exactly
+the values the text shows.
 """
 
 import pytest
@@ -10,6 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.llm import promptparse as pp
+from repro.llm.prompts import TuningContext
+
+
+def history_of(ctx: TuningContext) -> list[str]:
+    """The rendered history lines of a typed context."""
+    return pp.build_history_section(ctx.initial_seconds, list(ctx.attempts)).splitlines()[1:]
 
 
 class TestSectionSplitting:
@@ -26,48 +34,16 @@ class TestSectionSplitting:
 
 
 class TestMalformedInputs:
-    def test_history_with_garbage_lines(self):
-        initial, attempts = pp.parse_history_section(
-            "initial run (default configuration): 10.000s\n"
-            "attempt one: not parseable\n"
-            'attempt 1: changes {"a": 1} -> runtime 5.000s (speedup 2.000x)\n'
-            "random trailing noise"
-        )
-        assert initial == 10.0
-        assert len(attempts) == 1
-        assert attempts[0].changes == {"a": 1}
-
     def test_history_empty(self):
-        initial, attempts = pp.parse_history_section("")
-        assert initial == 0.0 and attempts == []
+        ctx = TuningContext.build("node", [], {}, [], None, 10.0)
+        assert ctx.attempts == ()
+        assert history_of(ctx) == ["initial run (default configuration): 10.000s"]
 
     def test_io_report_with_bad_metric_lines(self):
         report = pp.parse_io_report(
             "summary: ok\nmetric good = 1.5\nmetric bad = not-a-number\nmetric = 3"
         )
         assert report.metrics == {"good": 1.5}
-
-    def test_parameter_section_partial_entries(self):
-        params = pp.parse_parameter_section(
-            "- parameter: osc.max_rpcs_in_flight\n"
-            "  default: 8\n"
-            "- parameter: llite.statahead_max\n"
-            "  range: 0 .. 8192\n"
-        )
-        assert len(params) == 2
-        assert params[0].default == 8
-        assert params[0].min_expr == "0"  # unparsed range keeps safe default
-        assert params[1].max_expr == "8192"
-
-    def test_rules_section_invalid_json_raises(self):
-        with pytest.raises(Exception):
-            pp.parse_rules_section("{not json")
-
-    def test_hardware_facts_ignore_non_fact_lines(self):
-        facts = pp.parse_hardware_facts(
-            "Cluster of things\nfact n_ost = 5\nfactoid x = 2\nfact bad = ?"
-        )
-        assert facts == {"n_ost": 5.0}
 
 
 @settings(max_examples=40, deadline=None)
@@ -107,13 +83,16 @@ def test_io_report_round_trip_property(metrics, summary):
     speedup=st.floats(min_value=0.001, max_value=100),
 )
 def test_history_round_trip_property(changes, seconds, speedup):
-    record = pp.AttemptRecord(
-        index=1, changes=changes, seconds=seconds, speedup=speedup
+    ctx = TuningContext.build("node", [], {}, [], None, 123.456)
+    ctx.add_attempt(
+        pp.AttemptRecord(index=1, changes=changes, seconds=seconds, speedup=speedup)
     )
-    initial, attempts = pp.parse_history_section(
-        pp.build_history_section(123.456, [record])
-    )
-    assert initial == pytest.approx(123.456)
-    assert attempts[0].changes == changes
-    assert attempts[0].seconds == pytest.approx(seconds, abs=1e-3)
-    assert attempts[0].speedup == pytest.approx(speedup, abs=1e-3)
+    shown = ctx.attempts[0]
+    assert ctx.initial_seconds == 123.456
+    assert dict(shown.changes) == changes
+    assert list(shown.changes) == sorted(changes)
+    assert shown.seconds == pytest.approx(seconds, abs=1e-3)
+    assert shown.speedup == pytest.approx(speedup, abs=1e-3)
+    # The typed attempt is exactly what its rendered line shows.
+    assert f"runtime {shown.seconds:.3f}s (speedup {shown.speedup:.3f}x)" in history_of(ctx)[1]
+    assert f"{seconds:.3f}" == f"{shown.seconds:.3f}" and float(f"{seconds:.3f}") == shown.seconds
